@@ -2,20 +2,8 @@ package core
 
 import (
 	"context"
-	"math/bits"
-	"time"
-
-	"videorec/internal/faults"
-	"videorec/internal/signature"
-	"videorec/internal/social"
-	"videorec/internal/topk"
+	"slices"
 )
-
-// MaxSharedGather is the number of queries one shared candidate-generation
-// pass covers: the per-dimension query-membership masks of the batched
-// posting-list merge are single machine words, one bit per query. Larger
-// batches are transparently processed in chunks of this size.
-const MaxSharedGather = 64
 
 // BatchItem is one query of a batched recommendation call. Ctx, when
 // non-nil, carries the query's own deadline/cancellation; nil means the
@@ -35,82 +23,29 @@ type BatchOut struct {
 	Err     error
 }
 
-// soaRefine selects whether batched refinement scores through the view's
-// structure-of-arrays signature store (production default) or the per-record
-// compiled series. Tests flip it to prove the two layouts produce
-// bit-identical rankings; nothing else should touch it.
-var soaRefine = true
-
-// batchItemState is the per-query bookkeeping of one chunk: the query's
-// pooled scratch, its cancellation channels, its effective deadline (the
-// earlier of its own and the batch's), and its settlement status.
-type batchItemState struct {
-	qs          *queryScratch
-	ctx         context.Context // the item's own context (bctx when none given)
-	idone       <-chan struct{} // item ctx done channel (nil when ctx == bctx)
-	sel         *topk.Selector[scoredCand]
-	offers      int
-	useContent  bool
-	useSocial   bool
-	deadline    time.Time
-	hasDeadline bool
-	skip        bool // settled (answered, failed, or empty); no further work
+// batchSlot is one live batch item queued for the pipeline: its index in
+// the batch and its cancellation scope.
+type batchSlot struct {
+	item int
+	poll poll
 }
 
-// batchScratch is the chunk-wide reusable state of a batched call, pooled
-// per view: per-dimension query masks, the shared-merge cursors, the refine
-// order permutation, one warm EMD scratch reused across every candidate of
-// the batch, and the result selector feeding per-query top-K output buffers.
-type batchScratch struct {
-	states  []batchItemState
-	dimMask []uint64   // dim → chunk-membership mask; all-zero between calls
-	dims    []uint32   // dims with a nonzero mask, in first-touch order
-	heads   [][]uint32 // posting-list cursors of the shared merge
-	masks   []uint64   // membership mask per cursor
-	order   []int      // refine order: earliest effective deadline first
-	kj      signature.KJScratch
-	resSel  *topk.Selector[Result]
-}
-
-func (bs *batchScratch) resultSelector() *topk.Selector[Result] {
-	if bs.resSel == nil {
-		bs.resSel = topk.New(0, worseResult)
-	}
-	return bs.resSel
-}
-
-// dead reports whether the item's own context or the batch context has been
-// cancelled.
-func (st *batchItemState) dead(gdone <-chan struct{}) bool {
-	return ctxDone(st.idone) || ctxDone(gdone)
-}
-
-// failErr attributes a detected cancellation: the item's own context error
-// wins (the caller maps it to the query, not the batch), the batch context's
-// otherwise.
-func (st *batchItemState) failErr(bctx context.Context) error {
-	if err := st.ctx.Err(); err != nil {
-		return err
-	}
-	if err := bctx.Err(); err != nil {
-		return err
-	}
-	return context.Canceled
-}
-
-// RecommendBatch answers every item against this view in one batched pass:
-// candidate generation is shared across the batch (one merge over the
-// touched posting lists, per-query membership masks) and refinement streams
-// the structure-of-arrays signature store with one warm EMD scratch. Each
-// item's answer is bit-identical to what RecommendCtx would return for the
-// same query, deadline and view — batching changes cost, never results.
+// RecommendBatch answers every item against this view, one after another
+// through the same pipeline RecommendCtx runs. Each item's answer is
+// bit-identical to what RecommendCtx would return for the same query,
+// deadline and view. Batching saves the per-call scratch hand-off and the
+// output allocations (RecommendBatchInto); the large saving of a coalesced
+// batch is the (clip, k) dedup one layer up.
 //
 // bctx bounds the whole batch (a fan-out budget, the server's base context);
 // each item's own Ctx additionally bounds just that item. A cancelled item
 // settles with its own ctx error and drops out without disturbing its
-// cohort. Items are refined earliest-effective-deadline first, and each
-// item's degrade decision (Options.DegradeMargin) is made against its own
-// effective deadline exactly as in serial serving.
+// cohort. Items run earliest-effective-deadline first, and each item's
+// degrade decision (Options.DegradeMargin) is made against its own effective
+// deadline exactly as in serial serving. Items refine on the calling
+// goroutine, so a warm batch allocates nothing (worker goroutines would),
+// and a sharded fan-out, which already runs one batch per shard at once,
+// does not oversubscribe the cores.
 func (v *View) RecommendBatch(bctx context.Context, items []BatchItem) []BatchOut {
 	outs := make([]BatchOut, len(items))
 	v.RecommendBatchInto(bctx, items, outs)
@@ -127,68 +62,24 @@ func (v *View) RecommendBatchInto(bctx context.Context, items []BatchItem, outs 
 	if bctx == nil {
 		bctx = context.Background()
 	}
-	for start := 0; start < len(items); start += MaxSharedGather {
-		end := start + MaxSharedGather
-		if end > len(items) {
-			end = len(items)
-		}
-		v.recommendChunk(bctx, items[start:end], outs[start:end])
-	}
-}
+	qs := v.getScratch()
+	defer v.putScratch(qs)
 
-// settleBatchErr fails one item mid-batch: its answer becomes the attributed
-// context error, its scratch goes back to the pool, and the rest of the
-// chunk proceeds untouched.
-func (v *View) settleBatchErr(st *batchItemState, out *BatchOut, bctx context.Context) {
-	out.Results = out.Results[:0]
-	out.Err = st.failErr(bctx)
-	if st.qs != nil {
-		v.putScratch(st.qs)
-		st.qs = nil
-	}
-	st.skip = true
-}
-
-// recommendChunk runs one ≤MaxSharedGather-item chunk through gather and
-// refinement.
-func (v *View) recommendChunk(bctx context.Context, items []BatchItem, outs []BatchOut) {
-	bs := v.batch.Get().(*batchScratch)
-	gdone := bctx.Done()
-	bDeadline, bHasDeadline := bctx.Deadline()
-
-	if cap(bs.states) < len(items) {
-		bs.states = make([]batchItemState, len(items))
-	}
-	states := bs.states[:len(items)]
-	defer func() {
-		for b := range states {
-			if states[b].qs != nil {
-				v.putScratch(states[b].qs)
-			}
-			states[b] = batchItemState{} // drop ctx/scratch references before pooling
-		}
-		v.batch.Put(bs)
-	}()
-
-	// Per-item setup: contexts, effective deadlines, exclusions, query
-	// vectors — exactly the preamble RecommendCtx runs per query.
+	// Per-item setup: answer the empty and already-cancelled items, scope the
+	// rest to their effective deadlines.
+	slots := qs.batch[:0]
 	for b := range items {
 		it := &items[b]
-		st := &states[b]
 		out := &outs[b]
-		out.Results = out.Results[:0]
-		out.Info = RecommendInfo{}
-		out.Err = nil
-		*st = batchItemState{ctx: it.Ctx, skip: true}
-		if st.ctx == nil {
-			st.ctx = bctx
-		} else if st.ctx != bctx {
-			st.idone = st.ctx.Done()
-		}
+		out.Results, out.Info, out.Err = out.Results[:0], RecommendInfo{}, nil
 		if it.TopK <= 0 {
 			continue // empty answer, matching RecommendCtx's nil result
 		}
-		if err := st.ctx.Err(); err != nil {
+		ctx := it.Ctx
+		if ctx == nil {
+			ctx = bctx
+		}
+		if err := ctx.Err(); err != nil {
 			out.Err = err
 			continue
 		}
@@ -196,331 +87,32 @@ func (v *View) recommendChunk(bctx context.Context, items []BatchItem, outs []Ba
 			out.Err = err
 			continue
 		}
-		st.skip = false
-		st.deadline, st.hasDeadline = st.ctx.Deadline()
-		if bHasDeadline && (!st.hasDeadline || bDeadline.Before(st.deadline)) {
-			st.deadline, st.hasDeadline = bDeadline, true
-		}
-		st.useSocial = !v.opts.ContentWeightOnly
-		st.useContent = !v.opts.SocialOnly
-		st.qs = v.getScratch()
-		v.resolveExcludes(st.qs, it.Exclude)
-		if st.useSocial && v.opts.Mode != ModeExact {
-			v.mustBuild()
-			st.qs.qvec = social.VectorizeInto(st.qs.qvec, it.Query.Desc, v.look, v.part.Dim)
-		}
+		slots = append(slots, batchSlot{item: b, poll: newPoll(ctx, bctx)})
 	}
 
-	v.gatherBatch(bctx, gdone, bs, items, states, outs)
+	// Earliest effective deadline first: the deadline-nearest query sets
+	// where in the batch degradation starts to bite, and every later query
+	// re-checks its own margin when its turn comes. Deadlines sort before
+	// no-deadline; the sort is stable, so the order is deterministic.
+	slices.SortStableFunc(slots, func(a, b batchSlot) int {
+		switch {
+		case a.poll.hasDeadline && b.poll.hasDeadline:
+			return a.poll.deadline.Compare(b.poll.deadline)
+		case a.poll.hasDeadline:
+			return -1
+		case b.poll.hasDeadline:
+			return 1
+		}
+		return 0
+	})
 
-	// Refine earliest-effective-deadline first: the deadline-nearest query
-	// sets where in the batch degradation starts to bite, and every later
-	// query re-checks its own margin at its own refine start. Insertion sort
-	// over the index permutation — chunks are at most 64 items and the sort
-	// must not allocate.
-	order := bs.order[:0]
-	for b := range states {
-		if !states[b].skip {
-			order = append(order, b)
-		}
+	for _, s := range slots {
+		it := &items[s.item]
+		out := &outs[s.item]
+		qs.poll = s.poll
+		out.Results, out.Info, out.Err = v.recommend(qs, it.Query, it.TopK, it.Exclude, out.Results, 1)
+		qs.reset()
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && deadlineBefore(&states[order[j]], &states[order[j-1]]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	bs.order = order
-
-	for _, b := range order {
-		st := &states[b]
-		it := &items[b]
-		out := &outs[b]
-		out.Info.Candidates = len(st.qs.merged)
-		canDegrade := st.useContent && st.useSocial && v.opts.DegradeMargin > 0
-		if canDegrade && st.hasDeadline && time.Until(st.deadline) < v.opts.DegradeMargin {
-			v.finishCoarseBatch(bctx, st, it, out, bs, true)
-			continue
-		}
-		results, err := v.refineBatchItem(bctx, st, it, bs)
-		if err != nil {
-			if canDegrade && err == context.DeadlineExceeded {
-				// The deadline expired mid-refinement: the coarse answer is
-				// still owed, computed without further polling (the serial
-				// path's context.WithoutCancel).
-				v.finishCoarseBatch(bctx, st, it, out, bs, false)
-				continue
-			}
-			out.Results = out.Results[:0]
-			out.Err = err
-			continue
-		}
-		out.Results = topKResultsInto(out.Results, results, it.TopK, bs.resultSelector())
-	}
-}
-
-// deadlineBefore orders items for refinement: deadlines before no-deadline,
-// earlier deadlines first. Strict, so the insertion sort is stable and the
-// order deterministic.
-func deadlineBefore(a, b *batchItemState) bool {
-	if !a.hasDeadline {
-		return false
-	}
-	if !b.hasDeadline {
-		return true
-	}
-	return a.deadline.Before(b.deadline)
-}
-
-// gatherBatch fills every active item's candidate set — the batched steps
-// 1–2 of the Figure 6 KNN search. The social union runs ONCE for the whole
-// chunk: every posting list touched by any query enters a shared ascending
-// merge carrying a per-dimension membership mask, and each emitted candidate
-// is offered to exactly the queries whose dimensions contained it — per
-// query, the identical candidates in the identical (ascending dense index)
-// order as its private Union, so selector outcomes are bit-identical to
-// serial gathering. Content expansion stays per-query (the LCP walk order
-// is query-specific), as does the full-scan path.
-func (v *View) gatherBatch(bctx context.Context, gdone <-chan struct{}, bs *batchScratch, items []BatchItem, states []batchItemState, outs []BatchOut) {
-	if v.opts.FullScan || (v.opts.Mode == ModeExact && !v.opts.ContentWeightOnly) {
-		// Unoptimized CSF / exhaustive ranking: every stored video, per item.
-		for b := range states {
-			st := &states[b]
-			if st.skip {
-				continue
-			}
-			for i, rec := range v.recs {
-				if i%cancelCheckStride == 0 && st.dead(gdone) {
-					v.settleBatchErr(st, &outs[b], bctx)
-					break
-				}
-				if rec == nil || st.qs.excl.Has(uint32(i)) {
-					continue
-				}
-				st.qs.merged = append(st.qs.merged, uint32(i))
-			}
-		}
-		return
-	}
-
-	for b := range states {
-		if !states[b].skip {
-			states[b].qs.cand.Grow(len(v.intern.ids))
-		}
-	}
-	if !v.opts.ContentWeightOnly {
-		v.gatherBatchSocial(bctx, gdone, bs, states, outs)
-	}
-	if !v.opts.SocialOnly {
-		v.gatherBatchContent(bctx, gdone, items, states, outs)
-	}
-}
-
-// gatherBatchSocial is the shared step-1 pass described on gatherBatch.
-func (v *View) gatherBatchSocial(bctx context.Context, gdone <-chan struct{}, bs *batchScratch, states []batchItemState, outs []BatchOut) {
-	dims := v.inv.Dims()
-	bs.dimMask = growZeroed(bs.dimMask, dims)
-	for b := range states {
-		st := &states[b]
-		if st.skip {
-			continue
-		}
-		st.sel = st.qs.selector(v, v.opts.CandidateLimit)
-		for d, x := range st.qs.qvec {
-			if x <= 0 || d >= dims || v.inv.DimLen(d) == 0 {
-				continue
-			}
-			if bs.dimMask[d] == 0 {
-				bs.dims = append(bs.dims, uint32(d))
-			}
-			bs.dimMask[d] |= 1 << uint(b)
-		}
-	}
-	heads := bs.heads[:0]
-	masks := bs.masks[:0]
-	for _, d := range bs.dims {
-		heads = append(heads, v.inv.Postings(int(d)))
-		masks = append(masks, bs.dimMask[d])
-		bs.dimMask[d] = 0 // restore the all-zero invariant as we consume
-	}
-	bs.dims = bs.dims[:0]
-	bs.heads, bs.masks = heads, masks
-
-	// Shared ascending merge over every touched posting list. Lists number
-	// at most the partition dimension (tens), so a linear min scan beats
-	// heap bookkeeping and keeps the loop branch-predictable.
-	for len(heads) > 0 {
-		lo := heads[0][0]
-		for hi := 1; hi < len(heads); hi++ {
-			if heads[hi][0] < lo {
-				lo = heads[hi][0]
-			}
-		}
-		var mask uint64
-		for hi := 0; hi < len(heads); {
-			if heads[hi][0] != lo {
-				hi++
-				continue
-			}
-			mask |= masks[hi]
-			if rest := heads[hi][1:]; len(rest) > 0 {
-				heads[hi] = rest
-				hi++
-			} else {
-				last := len(heads) - 1
-				heads[hi] = heads[last]
-				masks[hi] = masks[last]
-				heads = heads[:last]
-				masks = masks[:last]
-			}
-		}
-		for m := mask; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros64(m)
-			st := &states[b]
-			if st.skip {
-				continue
-			}
-			if st.offers%cancelCheckStride == 0 && st.dead(gdone) {
-				v.settleBatchErr(st, &outs[b], bctx)
-				continue
-			}
-			st.offers++
-			st.sel.Offer(scoredCand{i: lo, s: social.ApproxJaccard(st.qs.qvec, v.recs[lo].Vec)})
-		}
-	}
-	bs.heads = bs.heads[:0]
-	bs.masks = bs.masks[:0]
-
-	for b := range states {
-		st := &states[b]
-		if st.skip {
-			continue
-		}
-		for _, sc := range st.sel.Items() {
-			st.qs.addCandidate(sc.i)
-		}
-	}
-}
-
-// gatherBatchContent runs the per-query step-2 LCP expansion, identical to
-// the serial path (precomputed content keys honored per query).
-func (v *View) gatherBatchContent(bctx context.Context, gdone <-chan struct{}, items []BatchItem, states []batchItemState, outs []BatchOut) {
-	for b := range states {
-		st := &states[b]
-		if st.skip {
-			continue
-		}
-		q := &items[b].Query
-		if q.contentKeys != nil && q.keyFP == v.lsb.KeyFingerprint() {
-			st.qs.walker.ResetWithKeys(v.lsb, q.Series, q.contentKeys)
-		} else {
-			st.qs.walker.Reset(v.lsb, q.Series)
-		}
-		added := 0
-		for pops := 0; pops < v.opts.ContentProbe; pops++ {
-			if pops%cancelCheckStride == 0 && st.dead(gdone) {
-				v.settleBatchErr(st, &outs[b], bctx)
-				break
-			}
-			e, _, ok := st.qs.walker.Next()
-			if !ok {
-				break
-			}
-			if v.tombstones.Has(e.Video) || st.qs.cand.Has(e.Video) {
-				continue
-			}
-			st.qs.addCandidate(e.Video)
-			added++
-			if added >= 2*v.opts.CandidateLimit {
-				break
-			}
-		}
-	}
-}
-
-// refineBatchItem scores one item's gathered candidates — the serial-order
-// step 3, streaming the SoA signature store with the chunk's shared EMD
-// scratch. Scoring arithmetic, candidate order and result slots are exactly
-// those of the serial refine, so rankings are bit-identical.
-func (v *View) refineBatchItem(bctx context.Context, st *batchItemState, it *BatchItem, bs *batchScratch) ([]Result, error) {
-	qs := st.qs
-	cands := qs.merged
-	gdone := bctx.Done()
-	var cancelled func() bool
-	if st.idone != nil || gdone != nil {
-		cancelled = func() bool { return st.dead(gdone) }
-	}
-
-	var qc *signature.CompiledSeries
-	if st.useContent && compiledRefine {
-		qc = it.Query.compiled()
-	}
-	soa := v.soa
-	if !soaRefine {
-		soa = nil
-	}
-
-	results := qs.resultSlots(len(cands))
-	for i, idx := range cands {
-		if err := faults.Inject(faults.RefineScore); err != nil {
-			return nil, err
-		}
-		if cancelled != nil && cancelled() {
-			return nil, st.failErr(bctx)
-		}
-		rec := v.recs[idx]
-		var content, soc float64
-		if st.useContent && rec != nil {
-			var kj float64
-			var complete bool
-			if qc != nil && rec.Compiled != nil {
-				kj, complete = signature.KJCancelCompiled(qc, soa.compiledFor(idx, rec), v.opts.MatchThreshold, cancelled, &bs.kj)
-			} else {
-				kj, complete = signature.KJCancel(it.Query.Series, rec.Series, v.opts.MatchThreshold, cancelled)
-			}
-			if !complete {
-				return nil, st.failErr(bctx)
-			}
-			content = kj
-		}
-		if st.useSocial && rec != nil {
-			soc = v.socialRelevanceRec(it.Query, qs.qvec, rec)
-		}
-		results[i] = Result{
-			VideoID: v.intern.ids[idx],
-			Score:   v.fuse(content, soc),
-			Content: content,
-			Social:  soc,
-		}
-	}
-	return results, nil
-}
-
-// finishCoarseBatch is finishCoarse for one batched item: the coarse social
-// ranking over its gathered candidates, flagged Degraded. poll mirrors the
-// serial path's two entries — live polling on the up-front degrade, none
-// after a mid-refinement expiry (WithoutCancel semantics).
-func (v *View) finishCoarseBatch(bctx context.Context, st *batchItemState, it *BatchItem, out *BatchOut, bs *batchScratch, poll bool) {
-	qs := st.qs
-	gdone := bctx.Done()
-	results := qs.resultSlots(len(qs.merged))
-	for i, idx := range qs.merged {
-		if poll && i%cancelCheckStride == 0 && st.dead(gdone) {
-			out.Results = out.Results[:0]
-			out.Err = st.failErr(bctx)
-			return
-		}
-		soc := v.socialRelevanceRec(it.Query, qs.qvec, v.recs[idx])
-		results[i] = Result{VideoID: v.intern.ids[idx], Score: soc, Social: soc}
-	}
-	out.Info.Degraded = true
-	out.Results = topKResultsInto(out.Results, results, it.TopK, bs.resultSelector())
-}
-
-// growZeroed resizes an all-zero scratch slice. Entries are always restored
-// to zero by their consumer, so a capacity hit needs no clearing.
-func growZeroed(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
+	clear(slots) // drop context references before pooling
+	qs.batch = slots[:0]
 }

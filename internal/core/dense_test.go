@@ -186,7 +186,7 @@ func gatherSet(t *testing.T, v *View, q Query, exclude ...string) map[string]boo
 	qs := v.getScratch()
 	defer v.putScratch(qs)
 	v.resolveExcludes(qs, exclude)
-	if _, _, err := v.gather(context.Background(), q, qs); err != nil {
+	if _, _, err := v.gather(q, qs); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]bool{}

@@ -5,6 +5,7 @@ import (
 
 	"videorec/internal/dataset"
 	"videorec/internal/signature"
+	"videorec/internal/topk"
 )
 
 // buildGolden is buildSmall with an options hook, so golden variants can
@@ -31,13 +32,32 @@ func buildGolden(t testing.TB, mutate func(*Options)) *View {
 	return r.Freeze()
 }
 
-// withCompiledRefine runs f under the given refine-path selection and
-// restores the default afterwards.
-func withCompiledRefine(enabled bool, f func()) {
-	prev := compiledRefine
-	compiledRefine = enabled
-	defer func() { compiledRefine = prev }()
-	f()
+// uncompiledRecommend is the reference refinement: it gathers exactly as
+// the pipeline does, then scores every candidate with κJ over the raw
+// series (signature.KJ) plus the view's social relevance, fuses, and keeps
+// the top K.
+func uncompiledRecommend(t *testing.T, v *View, q Query, topK int, exclude ...string) []Result {
+	t.Helper()
+	qs := v.getScratch()
+	defer v.putScratch(qs)
+	v.resolveExcludes(qs, exclude)
+	useContent, useSocial, err := v.gather(q, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]Result, len(qs.merged))
+	for i, idx := range qs.merged {
+		rec := v.recs[idx]
+		var content, soc float64
+		if useContent {
+			content = signature.KJ(q.Series, rec.Series, v.opts.MatchThreshold)
+		}
+		if useSocial {
+			soc = v.socialRelevanceRec(q, qs.qvec, rec)
+		}
+		results[i] = Result{VideoID: rec.ID, Score: v.fuse(content, soc), Content: content, Social: soc}
+	}
+	return topKResultsInto(nil, results, topK, topk.New(0, worseResult))
 }
 
 func resultsEqual(a, b []Result) bool {
@@ -55,9 +75,9 @@ func resultsEqual(a, b []Result) bool {
 // The compiled refinement path must be a pure representation change: for
 // every mode, candidate policy and worker count, the ranked results — ids,
 // fused scores and both component relevances — must be bit-identical to the
-// uncompiled reference path. Both paths route SimC through the same merge
-// kernel over identically stable-sorted cuboids, so not even floating-point
-// summation order differs.
+// uncompiled reference computed over the same gathered candidates. Both
+// route SimC through the same merge kernel over identically stable-sorted
+// cuboids, so not even floating-point summation order differs.
 func TestCompiledRefineGolden(t *testing.T) {
 	const topK = 10
 	variants := []struct {
@@ -83,9 +103,8 @@ func TestCompiledRefineGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("missing record %s", id)
 				}
-				var fast, slow []Result
-				withCompiledRefine(true, func() { fast = v.Recommend(q, topK, id) })
-				withCompiledRefine(false, func() { slow = v.Recommend(q, topK, id) })
+				fast := v.Recommend(q, topK, id)
+				slow := uncompiledRecommend(t, v, q, topK, id)
 				if !resultsEqual(fast, slow) {
 					t.Fatalf("query %s: compiled and uncompiled rankings differ\ncompiled:   %+v\nuncompiled: %+v", id, fast, slow)
 				}
@@ -104,9 +123,8 @@ func TestCompiledRefineGoldenAdHoc(t *testing.T) {
 	id := v.SortedIDs()[0]
 	rec, _ := v.Record(id)
 	raw := Query{Series: rec.Series, Desc: rec.Desc} // comp deliberately nil
-	var fast, slow []Result
-	withCompiledRefine(true, func() { fast = v.Recommend(raw, 10, id) })
-	withCompiledRefine(false, func() { slow = v.Recommend(raw, 10, id) })
+	fast := v.Recommend(raw, 10, id)
+	slow := uncompiledRecommend(t, v, raw, 10, id)
 	if !resultsEqual(fast, slow) {
 		t.Fatalf("ad-hoc query: compiled %+v != uncompiled %+v", fast, slow)
 	}
