@@ -38,7 +38,7 @@ bench:
 # degraded-path workload, and the unbatched/{1,8,64} vs batch/{1,8,64}
 # batched-serving pairs.
 vrecbench:
-	$(GO) run ./cmd/vrecbench -out BENCH_PR8.json
+	$(GO) run ./cmd/vrecbench -out vrecbench.json
 
 vrecbench-short:
 	$(GO) run ./cmd/vrecbench -short -out bench-short.json

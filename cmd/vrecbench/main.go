@@ -20,14 +20,14 @@
 // same Zipf-skewed query stream (fixed seed, s=1.2 — the head-heavy request
 // mix of a sharing community) is answered N queries per op, either as N
 // serial Engine.RecommendCtx calls or as one Engine.RecommendBatchCtx round
-// that deduplicates repeated (clip, k) requests and shares candidate
-// generation across the cohort. ns_per_op is per ROUND for these rows; qps
+// that deduplicates repeated (clip, k) requests and runs each distinct one
+// through the serial pipeline. ns_per_op is per ROUND for these rows; qps
 // counts queries, so the batch/N ÷ unbatched/N qps ratio is the aggregate
 // speedup of batching at that cohort size.
 //
 // Usage:
 //
-//	go run ./cmd/vrecbench -out BENCH_PR8.json
+//	go run ./cmd/vrecbench -out vrecbench.json
 //	go run ./cmd/vrecbench -short   # CI-sized run, seconds not minutes
 //
 // Compare two runs with cmd/benchcompare (make bench-compare).
@@ -82,7 +82,7 @@ type report struct {
 
 func main() {
 	var (
-		out   = flag.String("out", "BENCH_PR8.json", "output JSON path")
+		out   = flag.String("out", "vrecbench.json", "output JSON path")
 		short = flag.Bool("short", false, "CI-sized run: smaller collection, fewer iterations")
 		hours = flag.Float64("hours", 8, "collection size in video-hours")
 		users = flag.Int("users", 200, "community size")

@@ -49,12 +49,13 @@
 // every shard must answer.
 //
 // With -batch-window D (e.g. 500us) concurrent /recommend queries against
-// the same view coalesce for up to D and execute as one batch — candidate
-// generation is shared and identical (id, k) requests are computed once —
-// flushing early once -max-batch queries have gathered. A lone query bypasses
-// the window, so single-user latency is unchanged; under concurrency the
-// window trades up to D of added latency for aggregate throughput. /stats
-// reports batchedTotal, batchFlushes, avgBatchSize and batchBypassTotal.
+// the same view coalesce for up to D and execute as one batch — identical
+// (id, k) requests are computed once, distinct ones run one after another
+// through the serial pipeline — flushing early once -max-batch queries have
+// gathered. A lone query bypasses the window, so single-user latency is
+// unchanged; under concurrency the window trades up to D of added latency
+// for aggregate throughput. /stats reports batchedTotal, batchFlushes,
+// avgBatchSize and batchBypassTotal.
 //
 // With -replica-of the process runs as a read-only replica: it bootstraps
 // from the primary's snapshot, tails its journal, rejects mutating requests

@@ -13,7 +13,8 @@ import (
 // behind the admission semaphore, in-flight queries against the same view
 // version gather inside a sub-millisecond window (Config.BatchWindow, capped
 // at Config.MaxBatch) and execute as ONE RecommendBatchCtx call, which
-// shares candidate generation and deduplicates identical (clip, k) requests.
+// computes identical (clip, k) requests once and runs the distinct ones
+// through the serial query pipeline.
 // A lone query — no other query in flight and no batch forming — bypasses
 // the window entirely: single-query latency is untouched.
 //

@@ -85,15 +85,14 @@ type Config struct {
 	CacheSize int
 	// BatchWindow enables query coalescing: concurrent stored-clip queries
 	// against the same view version gather for up to this long and execute as
-	// one backend batch, sharing candidate generation and deduplicating
-	// identical (clip, k) requests. 0 disables coalescing (every query runs
-	// serially, the pre-batching behavior). Single queries bypass the window
-	// either way. Sensible values are sub-millisecond — the window trades
+	// one backend batch, computing identical (clip, k) requests once. 0
+	// disables coalescing (every query runs serially, the pre-batching
+	// behavior). Single queries bypass the window either way. Sensible values are sub-millisecond — the window trades
 	// that much added latency under concurrency for aggregate throughput.
 	BatchWindow time.Duration
 	// MaxBatch caps how many queries one batch may hold before it flushes
-	// without waiting out the window. 0 defaults to 64 (the core engine's
-	// shared-gather chunk size). Ignored unless BatchWindow > 0.
+	// without waiting out the window. 0 defaults to 64. Ignored unless
+	// BatchWindow > 0.
 	MaxBatch int
 	// ReadOnly rejects every state-mutating endpoint (POST /videos, /build,
 	// /updates) with 403 — the replica serving mode, where mutations arrive

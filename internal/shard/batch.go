@@ -33,7 +33,8 @@ func (r *Router) RecommendBatch(reqs []videorec.BatchRequest) []videorec.BatchAn
 // with the router's fault-tolerance machinery:
 //
 //   - Duplicate (ClipID, TopK) requests are computed once per shard and
-//     fanned back to every requester, exactly like Engine.RecommendBatchCtx.
+//     fanned back to every requester by the same videorec.GroupBatch rule
+//     as Engine.RecommendBatchCtx.
 //   - Each shard runs the whole batch under one per-shard budget (deadline −
 //     ShardMargin) and one breaker admission — a batch is one unit of
 //     evidence for the breaker, not len(reqs) units, so a single slow batch
@@ -75,92 +76,22 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 	// resolving each clip's query from whichever shard owns it and keying the
 	// content-index positions once for the whole fleet (all shards share one
 	// forest fingerprint).
-	type groupKey struct {
-		clipID string
-		topK   int
-	}
-	type group struct {
-		item    core.BatchItem
-		exclude [1]string
-		members []int
-		cancel  context.CancelFunc
-	}
-	groups := make(map[groupKey]*group, len(reqs))
-	ordered := make([]*group, 0, len(reqs))
-	for i, req := range reqs {
-		if rctx := req.Ctx; rctx != nil && rctx.Err() != nil {
-			answers[i].Err = rctx.Err()
-			continue
-		}
-		k := groupKey{req.ClipID, req.TopK}
-		g, ok := groups[k]
-		if !ok {
-			var q core.Query
-			found := false
-			for _, v := range views {
-				if qq, qok := v.QueryFor(req.ClipID); qok {
-					q, found = qq, true
-					break
+	groups := videorec.GroupBatch(ctx, reqs, answers, func(clipID string) (core.Query, bool) {
+		for _, v := range views {
+			if q, ok := v.QueryFor(clipID); ok {
+				if len(views) > 1 {
+					q = views[0].PrimeContentKeys(q)
 				}
+				return q, true
 			}
-			if !found {
-				answers[i].Err = fmt.Errorf("%w: %s", videorec.ErrNotFound, req.ClipID)
-				continue
-			}
-			if len(views) > 1 {
-				q = views[0].PrimeContentKeys(q)
-			}
-			g = &group{item: core.BatchItem{Query: q, TopK: req.TopK}}
-			g.exclude[0] = req.ClipID
-			g.item.Exclude = g.exclude[:]
-			groups[k] = g
-			ordered = append(ordered, g)
 		}
-		g.members = append(g.members, i)
-	}
-	if len(ordered) == 0 {
+		return core.Query{}, false
+	})
+	defer groups.Release()
+	items := groups.Items
+	if len(items) == 0 {
 		return answers
 	}
-
-	// Per-group contexts follow the engine's dedup rule: a singleton keeps
-	// its member's context verbatim; a shared group runs until the LAST
-	// member's deadline (or unbounded under the batch context) and members
-	// are re-checked individually at settlement.
-	items := make([]core.BatchItem, len(ordered))
-	for gi, g := range ordered {
-		if len(g.members) == 1 {
-			g.item.Ctx = reqs[g.members[0]].Ctx
-		} else {
-			var latest time.Time
-			bounded := true
-			for _, m := range g.members {
-				rctx := reqs[m].Ctx
-				if rctx == nil {
-					bounded = false
-					break
-				}
-				d, ok := rctx.Deadline()
-				if !ok {
-					bounded = false
-					break
-				}
-				if d.After(latest) {
-					latest = d
-				}
-			}
-			if bounded {
-				g.item.Ctx, g.cancel = context.WithDeadline(ctx, latest)
-			}
-		}
-		items[gi] = g.item
-	}
-	defer func() {
-		for _, g := range ordered {
-			if g.cancel != nil {
-				g.cancel()
-			}
-		}
-	}()
 
 	// One budget window and one breaker admission per shard for the whole
 	// batch — the batched form of fanOut's per-shard dispatch.
@@ -250,7 +181,7 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 	// Per-query settlement: quorum over the shards that answered this item,
 	// then the same (score desc, id asc) merge as the serial fan-out.
 	need := res.quorum(len(views))
-	for gi, g := range ordered {
+	for gi, item := range items {
 		var (
 			okShards  int
 			degraded  bool
@@ -273,7 +204,7 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 		var groupErr error
 		var shared []videorec.Recommendation
 		meta := videorec.RecommendMeta{ViewVersion: fp, ShardsTotal: len(views)}
-		if itemErr := itemCtxErr(g.item.Ctx); itemErr != nil && okShards < len(views) {
+		if itemErr := itemCtxErr(item.Ctx); itemErr != nil && okShards < len(views) {
 			// The group's own context died mid-flight: the missing shard
 			// answers are the request's doing, not the shards'.
 			groupErr = itemErr
@@ -286,7 +217,7 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 				degraded = true
 				meta.ShardsFailed = len(views) - okShards
 			}
-			merged := MergeTopK(g.item.TopK, func(yield func([]core.Result)) {
+			merged := MergeTopK(item.TopK, func(yield func([]core.Result)) {
 				for i := range shardOuts {
 					if shardOuts[i].err == nil && shardOuts[i].outs[gi].Err == nil {
 						yield(shardOuts[i].outs[gi].Results)
@@ -304,18 +235,7 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 				}
 			}
 		}
-		for _, m := range g.members {
-			if rctx := reqs[m].Ctx; rctx != nil && rctx.Err() != nil {
-				answers[m].Err = rctx.Err()
-				continue
-			}
-			if groupErr != nil {
-				answers[m].Err = groupErr
-				continue
-			}
-			answers[m].Results = shared
-			answers[m].Meta = meta
-		}
+		groups.Settle(gi, shared, meta, groupErr)
 	}
 	return answers
 }
